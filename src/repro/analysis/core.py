@@ -38,9 +38,9 @@ __all__ = ["Finding", "SourceFile", "AnalysisContext", "Checker",
 _ALLOW_RE = re.compile(
     r"#\s*analysis:\s*allow(?:\[(?P<codes>[A-Z0-9,\s]+)\])?")
 
-#: The legacy determinism-lint opt-out (PR 6). Honoured for the
-#: determinism and sim-purity checkers only, so every annotation that
-#: satisfied ``tools/check_determinism.py`` keeps working unchanged.
+#: The opt-out mark of the retired regex determinism lint. Honoured for
+#: the determinism and sim-purity checkers only, so every annotation
+#: that satisfied that lint keeps working unchanged.
 _LEGACY_ALLOW = "determinism: allowed"
 _LEGACY_CODES = ("RA1", "RA2")
 

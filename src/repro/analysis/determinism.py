@@ -2,10 +2,10 @@
 
 Every experiment replays bit-for-bit from its seed (DESIGN.md §2), so
 ``src/`` must never read wall clocks, process-seeded RNGs or
-address-space-dependent values. The retired regex lint
-(``tools/check_determinism.py``, now a shim over this module) matched
-four literal spellings; this checker resolves *import aliases* through
-the AST — ``from time import monotonic as mono`` is the same leak as
+address-space-dependent values. The retired regex lint matched four
+literal spellings; this checker, which CI runs as ``tools/analyze.py
+--select determinism``, resolves *import aliases* through the AST —
+``from time import monotonic as mono`` is the same leak as
 ``time.monotonic()`` — and adds the ordering leaks the regex could
 never see: iterating an unordered ``set`` into an ordering-sensitive
 sink, and ``id()`` used as a sort key or hash input (CPython heap

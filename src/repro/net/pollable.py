@@ -40,6 +40,20 @@ class Pollable:
         self._readable = False
 
 
+class _ReadableWaiter:
+    """One-shot watcher that succeeds ``event`` on the first wakeup."""
+
+    __slots__ = ("event",)
+
+    def __init__(self, event) -> None:
+        self.event = event
+
+    def _notify(self, p: Pollable) -> None:
+        p._watchers.pop(self, None)
+        if not self.event.triggered:
+            self.event.succeed()
+
+
 def wait_readable(sim, pollable: Pollable):
     """Return an event that fires when ``pollable`` becomes readable.
 
@@ -51,12 +65,5 @@ def wait_readable(sim, pollable: Pollable):
     if pollable.readable:
         event.succeed()
         return event
-
-    class _Waiter:
-        def _notify(self, p):
-            pollable._watchers.pop(self, None)
-            if not event.triggered:
-                event.succeed()
-
-    pollable._watchers[_Waiter()] = None
+    pollable._watchers[_ReadableWaiter(event)] = None
     return event

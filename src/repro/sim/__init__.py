@@ -25,10 +25,9 @@ from .kernel import Simulator, StopSimulation
 from .process import Interrupt, Process
 from .resources import Resource, Store
 from .rng import RngRegistry
-from .trace import Tracer
 
 __all__ = [
     "Simulator", "StopSimulation", "Event", "Timeout", "Condition", "AnyOf",
     "AllOf", "EventCancelled", "UNSET", "Process", "Interrupt", "Resource",
-    "Store", "RngRegistry", "Tracer",
+    "Store", "RngRegistry",
 ]

@@ -141,17 +141,6 @@ class Event:
         """Mark a failed event's exception as handled."""
         self._defused = True
 
-    # -- kernel hook ----------------------------------------------------
-
-    def _process(self) -> None:
-        """Run callbacks. Called exactly once by the kernel."""
-        callbacks, self.callbacks = self.callbacks, None
-        if self._cancelled:
-            return
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
-
     # -- composition -----------------------------------------------------
 
     def __or__(self, other: "Event") -> "AnyOf":
@@ -177,10 +166,16 @@ class Timeout(Event):
                  name: str = "") -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(sim, name=name)
-        self.delay = delay
+        # Event.__init__ inlined: timeouts are the most common event.
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
         self._value = value
-        self.sim._schedule(self, delay)
+        self._exc = None
+        self._cancelled = False
+        self._defused = False
+        self.delay = delay
+        sim._schedule(self, delay)
         self._scheduled = True
 
 

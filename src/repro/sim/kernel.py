@@ -7,6 +7,14 @@ given seed (see :mod:`repro.sim.rng`).
 
 The kernel is deliberately small: time, a heap, and event processing.
 Higher-level behaviour (processes, resources, queues) is layered on top.
+
+Next-event rule: while the kernel runs the *last* callback of the event
+it is processing, :attr:`Simulator._tail` is True, and nothing else runs
+before the next heap pop. Code in that callback may therefore do now
+what the kernel would do next without changing the event order
+(:meth:`Process._resume <repro.sim.process.Process._resume>` resumes
+inline on the calendar's head; :meth:`repro.cpu.core.Core.consume`
+takes an idle core without a request event).
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from .events import AllOf, AnyOf, Event, Timeout
 from .process import Process
-from .trace import Tracer
 
 __all__ = ["Simulator", "StopSimulation"]
 
@@ -32,15 +39,22 @@ NORMAL = 1
 #: is handled after same-time normal events.
 LOW = 2
 
+#: Whether :meth:`Simulator.step` raises the next-event flag. Switching
+#: it off replays the event order without any inline elision, which the
+#: exactness tests compare against.
+_TAIL_ELISION = True
+
 
 class Simulator:
     """A discrete-event simulator with simulated seconds as time unit."""
 
-    def __init__(self, trace: Optional[Tracer] = None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = count()
-        self.trace = trace or Tracer(enabled=False)
+        #: True only while the last callback of the event being
+        #: processed runs (see the module docstring).
+        self._tail = False
         #: Optional request-lifecycle tracer (a
         #: :class:`repro.obs.tracer.RequestTracer`). The kernel never
         #: touches it; it lives here so every layer holding a sim
@@ -103,15 +117,30 @@ class Simulator:
             heapq.heappop(self._heap)
         return self._heap[0][0] if self._heap else float("inf")
 
+    def idle_now(self) -> bool:
+        """True when the caller runs as the kernel's last callback and
+        nothing else is due at the current instant, so an event it
+        scheduled now with zero delay would be the very next one
+        processed."""
+        heap = self._heap
+        return self._tail and (not heap or heap[0][0] > self._now)
+
     def step(self) -> None:
         """Process one event. Raises IndexError when the calendar is empty."""
         when, _prio, _seq, event = heapq.heappop(self._heap)
-        if event.cancelled:
+        if event._cancelled:
             return
         self._now = when
-        if self.trace.enabled:
-            self.trace.record("event", when, event.name or type(event).__name__)
-        event._process()
+        callbacks, event.callbacks = event.callbacks, None
+        if callbacks:
+            last = callbacks.pop()
+            for cb in callbacks:
+                cb(event)
+            self._tail = _TAIL_ELISION
+            try:
+                last(event)
+            finally:
+                self._tail = False
         if event._exc is not None and not event._defused:
             raise event._exc
 

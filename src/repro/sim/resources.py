@@ -35,6 +35,7 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
+        self._req_name = f"{name}-req"
 
     @property
     def in_use(self) -> int:
@@ -52,13 +53,22 @@ class Resource:
         """Return an event that fires when a slot is granted."""
         while self._waiters and self._waiters[0].cancelled:
             self._waiters.popleft()
-        ev = Event(self.sim, name=f"{self.name}-req")
+        ev = Event(self.sim, name=self._req_name)
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
             ev.succeed()
         else:
             self._waiters.append(ev)
         return ev
+
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, with no request event; False (and
+        no change) when every slot is taken or someone is queued. The
+        caller must :meth:`release` a slot it got."""
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            return True
+        return False
 
     def release(self) -> None:
         """Release one previously granted slot."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .constants import HandshakeType, ProtocolVersion
@@ -43,6 +44,12 @@ def _encode_field(value) -> bytes:
     raise TypeError(f"cannot encode field of type {type(value)!r}")
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """Dataclass field names of a message class, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
 @dataclass(frozen=True)
 class HandshakeMessage:
     """Base class; subclasses define ``msg_type`` and ``overhead``."""
@@ -54,15 +61,15 @@ class HandshakeMessage:
         """Canonical encoding for transcripts and signatures."""
         out = bytearray()
         out += int(self.msg_type).to_bytes(1, "big")
-        for f in fields(self):
-            out += _encode_field(getattr(self, f.name))
+        for name in _field_names(type(self)):
+            out += _encode_field(getattr(self, name))
         return bytes(out)
 
     def wire_size(self) -> int:
         """Approximate on-the-wire size in bytes."""
         size = self.overhead + 4  # handshake header
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _field_names(type(self)):
+            v = getattr(self, name)
             if isinstance(v, bytes):
                 size += len(v)
             elif isinstance(v, str):

@@ -83,7 +83,7 @@ def test_baseline_rejects_malformed_lines(tmp_path):
 
 def test_stale_scoping_to_selected_checkers(tmp_path):
     """A --select run must not condemn baseline entries belonging to
-    checkers that did not run (the check_determinism shim regression)."""
+    checkers that did not run (a ``--select determinism`` regression)."""
     baseline = Baseline({("RA301", "repro/sim/mod.py"): "layering debt"})
     ctx = build_tree(tmp_path, {"repro/sim/mod.py": "x = 1\n"})
     result = run_analysis(ctx, select=["determinism"], baseline=baseline)

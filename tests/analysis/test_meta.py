@@ -3,8 +3,8 @@
 The first half runs the full suite over the actual ``src/`` with the
 checked-in baseline — the same gate CI applies — so a regression
 anywhere in the repo fails tier-1, not just the lint job. The second
-half drives the ``tools/analyze.py`` CLI (exit codes, shim,
-``--inject-violation`` canaries).
+half drives the ``tools/analyze.py`` CLI (exit codes, the determinism
+gate, ``--inject-violation`` canaries).
 """
 
 import subprocess
@@ -63,10 +63,9 @@ def test_cli_list_prints_catalogue():
         assert code in proc.stdout
 
 
-def test_determinism_shim_stays_green():
-    proc = subprocess.run(
-        [sys.executable, str(REPO_ROOT / "tools" / "check_determinism.py")],
-        capture_output=True, text=True, cwd=REPO_ROOT)
+def test_determinism_gate_stays_green():
+    """The CI determinism-lint step's command."""
+    proc = run_cli("--select", "determinism")
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu import Core, CpuTopology
-from repro.sim import Simulator
+from repro.sim import Interrupt, Simulator
 
 
 def run_consumer(sim, core, cost, owner=None, log=None, name=""):
@@ -137,3 +137,62 @@ def test_cores_run_in_parallel():
     sim.run()
     # Both finish at t=1ms: different cores do not serialize.
     assert [t for _, t in log] == [pytest.approx(1e-3)] * 2
+
+
+def test_interrupted_inline_charge_releases_core_to_queued_sharer():
+    sim = Simulator()
+    core = Core(sim, 0, context_switch_cost=0.0)
+    requests = []
+    request = core._lock.request
+
+    def logged_request():
+        requests.append(sim.now)
+        return request()
+
+    core._lock.request = logged_request
+    log = []
+
+    def victim(sim):
+        # Nothing else is due at t=0.5, so the idle core is granted
+        # inline, without a request event.
+        yield sim.timeout(0.5)
+        try:
+            yield from core.consume(5.0, owner="victim")
+        except Interrupt:
+            log.append(("interrupted", sim.now))
+
+    def sharer(sim):
+        yield sim.timeout(1.0)
+        yield from core.consume(1.0, owner="sharer")   # queues
+        log.append(("sharer", sim.now))
+
+    def killer(sim):
+        yield sim.timeout(2.0)
+        assert core._lock.queue_length == 1
+        v.interrupt("kill")
+
+    v = sim.process(victim(sim))
+    sim.process(sharer(sim))
+    sim.process(killer(sim))
+    sim.run()
+    assert requests == [1.0]
+    assert log == [("interrupted", 2.0), ("sharer", 3.0)]
+    assert core._lock.in_use == 0
+
+
+def test_zero_cost_consume_on_free_core_does_not_yield():
+    sim = Simulator()
+    core = Core(sim, 0)
+    seen = []
+
+    def proc(sim):
+        yield sim.timeout(1.0)
+        charge = core.consume(0.0)
+        with pytest.raises(StopIteration):
+            next(charge)
+        seen.append(sim.now)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert seen == [1.0]
+    assert core._lock.in_use == 0

@@ -180,11 +180,3 @@ def test_repr_states():
     sim.run()
     assert "processed" in repr(ev)
 
-
-def test_trace_records_events():
-    from repro.sim import Tracer
-    sim = Simulator(trace=Tracer(enabled=True))
-    sim.timeout(1.0, name="tick")
-    sim.run()
-    kinds = [r[2][0] for r in sim.trace.of_kind("event")]
-    assert "tick" in kinds
