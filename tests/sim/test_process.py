@@ -164,6 +164,58 @@ def test_interrupt_dead_process_raises():
         p.interrupt()
 
 
+def _interrupt_while_wakeup_in_flight(then):
+    """Two processes wait on one event. The first to wake interrupts the
+    second, whose wake-up from that same event is already under way, so
+    the second resumes normally first and ``then`` runs after that."""
+    sim = Simulator()
+    gate = sim.timeout(1.0)
+    log = []
+
+    def target(sim):
+        yield gate
+        log.append(("woke", sim.now))
+        yield from then(sim, log)
+
+    def interrupter(sim, victims):
+        yield gate
+        victims[0].interrupt("late")
+
+    # The interrupter subscribes to the gate first, so it runs first.
+    victims = []
+    sim.process(interrupter(sim, victims))
+    victims.append(sim.process(target(sim)))
+    sim.run()
+    return log, victims[0]
+
+
+def test_interrupt_after_target_ended_is_dropped():
+    def nothing(sim, log):
+        return
+        yield
+
+    log, victim = _interrupt_while_wakeup_in_flight(nothing)
+    assert log == [("woke", 1.0)]
+    assert victim.ok
+
+
+def test_interrupt_detaches_from_the_next_wait():
+    def wait_again(sim, log):
+        try:
+            yield sim.timeout(5.0)
+            log.append(("timeout", sim.now))
+        except Interrupt as i:
+            log.append(("interrupted", sim.now, i.cause))
+        yield sim.timeout(1.0)
+        log.append(("done", sim.now))
+
+    log, victim = _interrupt_while_wakeup_in_flight(wait_again)
+    # The abandoned 5 s timeout must not resume the process again.
+    assert log == [("woke", 1.0), ("interrupted", 1.0, "late"),
+                   ("done", 2.0)]
+    assert victim.ok
+
+
 def test_is_alive_lifecycle():
     sim = Simulator()
 
