@@ -67,11 +67,10 @@ def _mean_latency(bed: Testbed, windows: Windows) -> float:
 def _stub(bed: Testbed) -> dict:
     out = dict(backend="", batches=0, batch_ops=0)
     for worker in bed.server.workers:
-        worker.stop()  # publishes final counters
-        st = worker.stub_status
-        out["backend"] = st.backend or out["backend"]
-        out["batches"] += st.batches_submitted
-        out["batch_ops"] += st.batch_ops
+        page = worker.stub_status.counters()
+        out["backend"] = page["backend"] or out["backend"]
+        out["batches"] += page["batches_submitted"]
+        out["batch_ops"] += page["batch_ops"]
     return out
 
 

@@ -92,12 +92,10 @@ def _degradation(bed: Testbed) -> dict:
     out = dict(fallback_ops=0, op_timeouts=0, watchdog_rescues=0,
                submit_failures=0)
     for worker in bed.server.workers:
-        worker.stop()  # publishes final degradation counters
-        st = worker.stub_status
-        out["fallback_ops"] += st.fallback_ops
-        out["op_timeouts"] += st.op_timeouts
-        out["watchdog_rescues"] += st.watchdog_rescues
-        out["submit_failures"] += st.submit_failures
+        page = worker.stub_status.counters()
+        for key in ("fallback_ops", "op_timeouts", "watchdog_rescues",
+                    "submit_failures"):
+            out[key] += page[key]
     if bed.fault_plan is not None:
         out.update({f"faults.{k}": v
                     for k, v in bed.fault_plan.counters().items()})

@@ -18,9 +18,9 @@ Profiling hooks:
 - **histograms** — closed traces feed per-(backend, stage) streaming
   latency histograms (p50/p95/p99);
 - **timelines** — the device model reports per-endpoint engine
-  occupancy and per-instance in-flight levels; the worker publishes
+  occupancy and per-instance in-flight levels; the worker samples
   per-reactor-source activity (``w<id>.reactor.<source>.wakes`` /
-  ``.busy``) at watchdog/snapshot refresh points.
+  ``.busy``) at watchdog ticks, kill() and stop().
 """
 
 from __future__ import annotations

@@ -143,11 +143,3 @@ class OffloadBackend:
         least ``submitted``, ``submit_failures``, ``op_timeouts`` and
         ``fallback_ops`` attributes the engine may increment)."""
         raise NotImplementedError
-
-    def health(self) -> dict:
-        """Introspection snapshot for status pages / experiments."""
-        return {
-            "backend": self.name,
-            "lanes": self.lanes,
-            "capacity_hint": self.capacity_hint(),
-        }

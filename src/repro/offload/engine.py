@@ -260,11 +260,6 @@ class AsyncOffloadEngine:
         return sum(1 for b in self.breakers if b.is_open)
 
     @property
-    def submit_failures(self) -> int:
-        """Rejected submissions this engine attempted."""
-        return self.submit_rejections
-
-    @property
     def mean_batch_size(self) -> float:
         return (self.batch_ops / self.batches_submitted
                 if self.batches_submitted else 0.0)

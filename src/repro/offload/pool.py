@@ -587,14 +587,3 @@ class PooledQatBackend(OffloadBackend):
 
     def lane_stats(self, lane: int) -> QatUserspaceDriver:
         return self.pool.drivers[lane]
-
-    def health(self) -> dict:
-        snap = self.pool.snapshot()
-        snap.update({
-            "backend": self.name,
-            "worker": self.worker_id,
-            "epoch": self.epoch,
-            "leased": len(self.pool.leases[self.worker_id]),
-            "capacity_hint": self.capacity_hint(),
-        })
-        return snap

@@ -93,13 +93,3 @@ class QatBackend(OffloadBackend):
         # The driver already carries the per-lane counters the engine
         # charges (submit_failures, op_timeouts, fallback_ops).
         return self.drivers[lane]
-
-    def health(self) -> dict:
-        return {
-            "backend": self.name,
-            "lanes": self.lanes,
-            "capacity_hint": self.capacity_hint(),
-            "in_flight": sum(drv.in_flight for drv in self.drivers),
-            "submit_failures": sum(drv.submit_failures
-                                   for drv in self.drivers),
-        }

@@ -222,14 +222,3 @@ class RemoteAcceleratorBackend(OffloadBackend):
 
     def lane_stats(self, lane: int) -> LaneStats:
         return self.stats
-
-    def health(self) -> dict:
-        return {
-            "backend": self.name,
-            "lanes": 1,
-            "capacity_hint": self.capacity_hint(),
-            "outstanding": self.outstanding,
-            "batches_sent": self.batches_sent,
-            "service_queue": self.service.processors.queue_length,
-            "requests_served": self.service.requests_served,
-        }

@@ -294,20 +294,5 @@ class TlsServer:
                 total[k] = total.get(k, 0) + v
         return total
 
-    def consistent_status_snapshot(self) -> dict:
-        """stub_status and firmware counters captured as one atomic
-        pair: every worker's page is refreshed from its engine ledgers
-        and the device's ``fw_counter_totals()`` is read in the same
-        synchronous call, with no simulation step in between. This is
-        the only read under which the two sides are guaranteed to
-        agree mid-pass (see :meth:`Worker.status_snapshot`)."""
-        workers = {}
-        for w in list(self.workers) + list(self.retired_workers):
-            key = f"w{w.worker_id}g{w.generation}"
-            workers[key] = w.status_snapshot()
-        fw = (self.qat_device.fw_counter_totals()
-              if self.qat_device is not None else {})
-        return {"workers": workers, "fw": fw}
-
     def total_busy_time(self) -> float:
         return self.topology.total_busy_time()

@@ -541,7 +541,7 @@ class WatchdogSource(EventSource):
                     if ok:
                         rescued += 1
             w.stub_status.watchdog_rescues += rescued
-            w._refresh_degradation()
+            w._sample_reactor()
             if (delivered or rescued) and w.wake_fd is not None:
                 # Deliveries happened outside the loop; make sure a
                 # blocked epoll_wait sees the queued notifications.

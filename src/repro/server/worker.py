@@ -65,16 +65,26 @@ __all__ = ["Worker", "WorkerMetrics", "SPIN_TIMEOUT"]
 class WorkerMetrics:
     """Counters the bench harness samples."""
 
-    def __init__(self) -> None:
+    def __init__(self, stub_status: StubStatus) -> None:
+        self._stub_status = stub_status
         self.handshakes_full = 0
         self.handshakes_resumed = 0
         self.requests_served = 0
         self.bytes_sent = 0
-        self.connections_closed = 0
         self.alerts = 0
 
+    @property
+    def connections_closed(self) -> int:
+        """Counted once, by stub_status."""
+        return self._stub_status.total_closed
+
     def snapshot(self) -> dict:
-        return dict(self.__dict__)
+        return {"handshakes_full": self.handshakes_full,
+                "handshakes_resumed": self.handshakes_resumed,
+                "requests_served": self.requests_served,
+                "bytes_sent": self.bytes_sent,
+                "connections_closed": self.connections_closed,
+                "alerts": self.alerts}
 
 
 class Worker:
@@ -97,12 +107,12 @@ class Worker:
 
         self.epoll = Epoll(sim, name=f"w{worker_id}-epoll")
         self.epoll.register(listener)
-        self.stub_status = StubStatus()
+        self.stub_status = StubStatus(self)
         self.async_queue = AsyncEventQueue()
         #: (conn, async_token) pairs: stale entries (token mismatch)
         #: are dropped instead of re-resuming an already-resumed conn.
         self.retries: Deque[Tuple[ServerConnection, int]] = deque()
-        self.metrics = WorkerMetrics()
+        self.metrics = WorkerMetrics(self.stub_status)
 
         self.conns: Dict[SimSocket, ServerConnection] = {}
         self.fd_conns: Dict[NotifyFd, ServerConnection] = {}
@@ -205,7 +215,7 @@ class Worker:
     def stop(self) -> None:
         self.running = False
         self.reactor.shutdown()
-        self._refresh_degradation()
+        self._sample_reactor()
 
     def begin_drain(self) -> None:
         """nginx SIGHUP: hand the listen socket to the new generation
@@ -252,7 +262,6 @@ class Worker:
             if conn.stub_open:
                 conn.stub_open = False
                 self.stub_status.on_close(was_idle=was_idle)
-                self.metrics.connections_closed += 1
         self.conns.clear()
         self.fd_conns.clear()
         self.retries.clear()
@@ -264,7 +273,7 @@ class Worker:
         # and the (possibly reused) listener stop notifying it.
         for p in list(self.epoll._watched):
             self.epoll.unregister(p)
-        self._refresh_degradation()
+        self._sample_reactor()
 
     # -- the main event loop (paper section 2.2 / 3.4) -----------------------------
 
@@ -317,60 +326,18 @@ class Worker:
             yield from self._heuristic_source.check(owner=self)
         return None
 
-    def status_snapshot(self) -> dict:
-        """Consistent stub_status read: refresh the page from the live
-        engine ledgers *in the same synchronous step*, then snapshot.
-
-        ``stub_status`` is normally only republished at watchdog ticks
-        and shutdown, so a raw ``stub_status.counters()`` read taken
-        mid-pass can lag the engine/driver counters that feed
-        ``fw_counter_totals()`` — the two disagree transiently even
-        though nothing is wrong. Reading through this helper (or
-        :meth:`TlsServer.consistent_status_snapshot`) closes that gap:
-        there is no yield between the refresh and the read."""
-        self._refresh_degradation()
-        return self.stub_status.counters()
-
-    def _refresh_degradation(self) -> None:
-        """Publish offload-health counters on the stub_status page."""
-        self.stub_status.update_reactor(sources=self.reactor.snapshot())
+    def _sample_reactor(self) -> None:
+        """Append the per-source wake/busy obs timeline samples. Taken
+        at watchdog ticks, kill() and stop(), so trace size stays
+        bounded by that cadence."""
         obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
-            # Per-source wake/busy timelines, sampled at republish
-            # points (watchdog ticks, lifecycle transitions, shutdown)
-            # so trace size stays bounded by the republish cadence.
-            for name, s in self.reactor.snapshot().items():
-                prefix = f"w{self.worker_id}.reactor.{name}"
-                obs.util_sample(f"{prefix}.wakes", self.sim.now,
-                                s["wakes"] + s["events"])
-                obs.util_sample(f"{prefix}.busy", self.sim.now, s["busy"])
-        eng = self.engine
-        if not isinstance(eng, AsyncOffloadEngine):
+        if obs is None or not obs.enabled:
             return
-        self.stub_status.update_degradation(
-            fallback_ops=eng.ops_fallback,
-            op_timeouts=eng.op_timeouts,
-            open_breakers=eng.open_breakers,
-            submit_failures=eng.submit_failures,
-            backend=eng.backend.name,
-            batches_submitted=eng.batches_submitted,
-            batch_ops=eng.batch_ops)
-        pool = getattr(eng.backend, "pool", None)
-        if pool is not None or eng.admission_limit is not None:
-            self.stub_status.update_pool(
-                policy=(pool.policy.name if pool is not None else ""),
-                leases=(len(pool.leases[eng.backend.worker_id])
-                        if pool is not None else 0),
-                migrations=(pool.migrations if pool is not None else 0),
-                admission_limit=eng.admission_limit or 0,
-                admission_queued=eng.admission_queued,
-                admission_peak=eng.admission_peak,
-                admission_admitted=eng.admission_admitted)
-        if getattr(eng, "sched_active", False):
-            self.stub_status.update_scheduler(**eng.scheduler.snapshot())
-        obs = getattr(self.sim, "obs", None)
-        if obs is not None and obs.enabled:
-            self.stub_status.update_trace(**obs.snapshot_counts())
+        for name, s in self.reactor.snapshot().items():
+            prefix = f"w{self.worker_id}.reactor.{name}"
+            obs.util_sample(f"{prefix}.wakes", self.sim.now,
+                            s["wakes"] + s["events"])
+            obs.util_sample(f"{prefix}.busy", self.sim.now, s["busy"])
 
     # -- accept path -----------------------------------------------------------------
 
@@ -663,4 +630,3 @@ class Worker:
         conn.stub_idle = False
         conn.stub_open = False
         self.stub_status.on_close(was_idle=was_idle)
-        self.metrics.connections_closed += 1

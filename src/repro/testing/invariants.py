@@ -285,19 +285,13 @@ def check_spans(bed) -> List[str]:
 
 @register("stub-consistency")
 def check_stub_status(bed) -> List[str]:
-    """Read through the consistent-snapshot helper, the stub_status
-    page must agree with the engine ledgers that feed it, and its
-    connection accounting must balance. (A raw mid-pass read may lag —
-    that is exactly why the helper exists; see
-    ``Worker.status_snapshot``.)"""
+    """The stub_status page must agree with the engine ledgers it
+    reads, and its connection accounting must balance."""
     from ..offload.engine import AsyncOffloadEngine
     out = []
-    snap = bed.server.consistent_status_snapshot()
-    by_key = {f"w{w.worker_id}g{w.generation}": w
-              for w in (list(bed.server.workers)
-                        + list(bed.server.retired_workers))}
-    for key, stub in snap["workers"].items():
-        w = by_key[key]
+    for w in list(bed.server.workers) + list(bed.server.retired_workers):
+        key = f"w{w.worker_id}g{w.generation}"
+        stub = w.stub_status.counters()
         if stub["tls_alive"] != stub["accepted"] - stub["closed"]:
             out.append(f"{key}: alive {stub['tls_alive']} != accepted "
                        f"{stub['accepted']} - closed {stub['closed']}")
@@ -318,7 +312,8 @@ def check_stub_status(bed) -> List[str]:
                            f"engine {eng_val}")
     # Driver-level totals can only lag the engine totals (ops that
     # expired while still queued never reached a driver).
-    fw = snap["fw"]
+    device = bed.server.qat_device
+    fw = device.fw_counter_totals() if device is not None else {}
     if fw:
         engines = [eng for _, eng in iter_engines(bed.server)]
         if engines:

@@ -437,7 +437,7 @@ def fingerprint(bed: Testbed) -> str:
                 f"abort={eng.ops_aborted} disp={eng.responses_dispatched} "
                 f"adm={eng.admission_enqueued}/{eng.admission_admitted}")
             lines.append(f"{tag} sched={sorted(eng.scheduler.snapshot().items())!r}")
-        lines.append(f"{tag} stub={w.status_snapshot()!r}")
+        lines.append(f"{tag} stub={w.stub_status.counters()!r}")
     lines.append(f"supervisor={sorted(server.supervisor.snapshot().items())!r}")
     lines.append(f"events={server.supervisor.events!r}")
     pool = server.instance_pool

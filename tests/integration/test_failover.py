@@ -59,14 +59,13 @@ def test_failover_exercised_and_nothing_left_hanging(faulted_bed):
 
 
 def test_stub_status_reports_degradation(faulted_bed):
-    worker = faulted_bed.server.workers[0]
-    worker.stop()  # publishes final counters
-    st = worker.stub_status
+    st = faulted_bed.server.workers[0].stub_status
     assert st.degraded
     page = st.render()
+    fallback_ops = st.counters()["fallback_ops"]
     assert "offload degradation:" in page
-    assert f"fallback_ops {st.fallback_ops}" in page
-    assert st.fallback_ops > 0
+    assert f"fallback_ops {fallback_ops}" in page
+    assert fallback_ops > 0
 
 
 def test_faulted_run_is_deterministic(faulted_bed):

@@ -270,7 +270,7 @@ def test_reload_during_outage_fails_over_instead_of_stranding(
     retired = bed.server.retired_workers
     assert len(retired) == WORKERS
     rescued = sum(w.engine.op_timeouts + w.engine.ops_fallback
-                  + w.engine.submit_failures for w in retired)
+                  + w.engine.submit_rejections for w in retired)
     assert rescued > 0
     # ...and nothing stayed behind: every old-generation op retired.
     for w in retired:

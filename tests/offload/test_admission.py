@@ -114,7 +114,7 @@ def test_admission_applies_before_ring_pressure():
              for c in (rsa_call(f"r{i}") for i in range(32))]
     assert all(submit_all(env, pairs))
     eng = env.engine
-    assert eng.submit_failures == 0
+    assert eng.submit_rejections == 0
     assert eng.admission_queued == 28
     assert env.drivers[0].in_flight <= 4
 

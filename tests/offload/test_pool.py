@@ -240,7 +240,7 @@ def test_migration_routes_inflight_completions_to_owner():
 
 # -- introspection ----------------------------------------------------------
 
-def test_snapshot_and_health():
+def test_snapshot_and_backend_view():
     _, pool = make_pool(n_workers=2, n_instances=4,
                         policy=DynamicPolicy())
     snap = pool.snapshot()
@@ -248,10 +248,10 @@ def test_snapshot_and_health():
                     "leases": [2, 2], "migrations": 0,
                     "routed_completions": 0, "epochs": [0, 0],
                     "tombstone_drops": 0}
-    health = pool.register(0).health()
-    assert health["backend"] == "qat"
-    assert health["worker"] == 0 and health["leased"] == 2
-    assert health["capacity_hint"] > 0
+    b0 = pool.register(0)
+    assert b0.name == "qat" and b0.worker_id == 0
+    assert b0.drivers == [pool.drivers[0], pool.drivers[1]]
+    assert b0.capacity_hint() > 0
 
 
 def test_backend_views_leased_drivers_but_global_lanes():

@@ -85,7 +85,7 @@ def test_window_exhaustion_rejects_like_a_full_ring():
 
     sim.process(proc(sim))
     sim.run()
-    assert eng.submit_failures == 1
+    assert eng.submit_rejections == 1
     assert job.submit_attempts == 1
 
 

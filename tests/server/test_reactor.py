@@ -279,7 +279,6 @@ def test_stub_status_renders_reactor_section():
     bed = make_bed("QTLS")
     bed.sim.run(until=0.03)
     w = bed.server.workers[0]
-    w.status_snapshot()  # consistent read republishes the page
     page = w.stub_status.render()
     assert "reactor: " in page
     for name in source_names(w):
@@ -292,7 +291,7 @@ def test_reactor_stats_not_in_fingerprinted_counters():
     bed = make_bed("QTLS")
     bed.sim.run(until=0.02)
     w = bed.server.workers[0]
-    counters = w.status_snapshot()
+    counters = w.stub_status.counters()
     assert not any("reactor" in k or "wakes" in k for k in counters)
 
 
@@ -300,7 +299,7 @@ def test_reactor_snapshot_orders_and_counts():
     bed = make_bed("QTLS", qat_watchdog_interval=1e-3)
     bed.sim.run(until=0.04)
     w = bed.server.workers[0]
-    snap = w.stub_status.reactor_sources
+    snap = w.reactor.snapshot()
     assert list(snap) == source_names(w)
     assert snap["socket"]["events"] > 0
     assert snap["heuristic"]["polls"] > 0
