@@ -66,7 +66,8 @@ class Core:
         An idle core is taken inline, with no request event, when the
         kernel would grant the request next anyway
         (:meth:`Simulator.idle_now`); otherwise the process queues on
-        the core lock.
+        the core lock. Likewise the charge completes inline, with no
+        timeout, when nothing else is due before it ends.
         """
         if cost < 0:
             raise ValueError("negative CPU cost")
@@ -95,7 +96,17 @@ class Core:
                 self._last_owner = owner
             self.stats.busy_time += duration
             if duration > 0:
-                yield self.sim.timeout(duration)
+                sim = self.sim
+                end = sim._now + duration
+                heap = sim._heap
+                if sim._tail and (not heap or heap[0][0] > end):
+                    # Next-event rule: nothing is due up to ``end``, so
+                    # the kernel would pop this charge's timeout next
+                    # and run only us. A head due exactly at ``end`` was
+                    # scheduled earlier and must run first.
+                    sim._now = end
+                else:
+                    yield sim.timeout(duration)
         finally:
             lock.release()
 

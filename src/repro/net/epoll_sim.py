@@ -83,7 +83,7 @@ class Epoll:
             if timeout is not None:
                 timer = self.sim.timeout(timeout)
                 yield self.sim.any_of([waiter, timer])
-                if not timer.processed and not timer.triggered:
+                if not timer.processed:
                     timer.cancel()
                 if self._waiter is waiter:
                     self._waiter = None

@@ -5,16 +5,21 @@ assigned instances' rings across all available computation engines
 (paper Figure 2). Concurrent requests from a *single* instance run in
 parallel as long as engines are free — the parallelism QTLS unlocks
 (paper section 2.3 "Parallelism").
+
+A request moves through the endpoint as a pipeline of kernel callbacks,
+not as a simulation process: a zero-delay start event (the engine picks
+the request up), the service timeout (inbound DMA plus calculation,
+engine held) and the response-pipeline timeout (firmware plus outbound
+DMA, engine free).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from ..sim.resources import Resource
 from .firmware import FirmwareCounters
 from .instance import CryptoInstance
-from .request import QatRequest, QatResponse
+from .request import QatResponse
 from .rings import DEFAULT_RING_CAPACITY, RingPair
 from .service_times import (PCIE_LATENCY, qat_pipeline_latency,
                             qat_service_time)
@@ -39,8 +44,10 @@ class QatEndpoint:
         self.n_engines = n_engines
         self.ring_capacity = ring_capacity
         self.pcie_latency = pcie_latency
-        self.engines = Resource(sim, n_engines, name=f"qat{endpoint_id}-eng")
+        self._busy = 0  # engines serving a request
         self.instances: List[CryptoInstance] = []
+        #: Every instance's rings in round-robin order.
+        self._rings: List[RingPair] = []
         self.fw_counters = FirmwareCounters()
         self._rr_cursor = 0  # round-robin over instance rings
         #: Installed by :meth:`QatDevice.install_fault_plan`.
@@ -60,6 +67,7 @@ class QatEndpoint:
         }
         inst = CryptoInstance(self, inst_id, rings)
         self.instances.append(inst)
+        self._rings.extend(rings.values())
         return inst
 
     # -- submission path ----------------------------------------------------
@@ -72,32 +80,28 @@ class QatEndpoint:
     def _dispatch(self) -> None:
         """Hand pending ring entries to free engines (round-robin over
         rings for fairness, like the hardware load balancer)."""
-        while self.engines.available > 0:
+        while self._busy < self.n_engines:
             req_ring = self._next_nonempty_ring()
             if req_ring is None:
                 return
             request = req_ring.take_request()
             assert request is not None
             request.dequeued_at = self.sim.now
-            grant = self.engines.request()
-            assert grant.triggered  # capacity was checked above
+            self._busy += 1
             self._sample_engines()
-            self.sim.process(self._run_engine(request, req_ring),
-                             name=f"qat-exec-{request.request_id}")
+            start = self.sim.event()
+            start.callbacks.append(self._start_service)
+            start.succeed((request, req_ring))
 
     def _sample_engines(self) -> None:
         """Report engine occupancy to the request tracer, if any."""
         obs = getattr(self.sim, "obs", None)
         if obs is not None and obs.enabled:
             obs.util_sample(f"qat{self.endpoint_id}.engines", self.sim.now,
-                            self.engines.in_use, capacity=self.n_engines)
+                            self._busy, capacity=self.n_engines)
 
     def _next_nonempty_ring(self) -> Optional[RingPair]:
-        rings: List[RingPair] = []
-        for inst in self.instances:
-            rings.extend(inst.rings.values())
-        if not rings:
-            return None
+        rings = self._rings
         n = len(rings)
         for i in range(n):
             ring = rings[(self._rr_cursor + i) % n]
@@ -106,21 +110,31 @@ class QatEndpoint:
                 return ring
         return None
 
-    def _run_engine(self, request: QatRequest, ring: RingPair):
-        """One engine executing one request (a simulation process)."""
-        # Inbound DMA + calculation (engine occupied).
+    def _start_service(self, start) -> None:
+        """An engine starts on a request: inbound DMA + calculation,
+        engine occupied."""
+        request, _ring = start.value
         service = qat_service_time(request.op)
         plan = self.fault_plan
         if plan is not None:
             service *= plan.latency_multiplier(self.endpoint_id,
                                                request.op, self.sim.now)
-        yield self.sim.timeout(self.pcie_latency + service)
+        done = self.sim.timeout(self.pcie_latency + service,
+                                value=start.value)
+        done.callbacks.append(self._finish_service)
+
+    def _finish_service(self, done) -> None:
+        """Service ends: compute the result and free the engine; the
+        response continues down the pipeline (firmware + outbound DMA)
+        without holding engine capacity."""
+        request, ring = done.value
         request.serviced_at = self.sim.now
         response = QatResponse(request)
         try:
             response.result = request.compute()
         except Exception as exc:  # functional failure -> errored response
             response.error = exc
+        plan = self.fault_plan
         if plan is not None:
             hw_error = plan.corrupt(self.endpoint_id, request.op,
                                     self.sim.now)
@@ -131,16 +145,21 @@ class QatEndpoint:
         obs = getattr(self.sim, "obs", None)
         if obs is not None and obs.enabled:
             obs.fw_record(self.endpoint_id, request.op, response.ok)
-        # The engine frees up now; completion continues down the
-        # response pipeline (firmware + outbound DMA) without holding
-        # engine capacity.
-        self.engines.release()
+        self._busy -= 1
         self._sample_engines()
         self._dispatch()  # pull more work if rings are backed up
-        yield self.sim.timeout(self.pcie_latency
-                               + qat_pipeline_latency(request.op))
-        if plan is not None and plan.response_lost(self.endpoint_id,
-                                                   request.op, self.sim.now):
+        landed = self.sim.timeout(self.pcie_latency
+                                  + qat_pipeline_latency(request.op),
+                                  value=(response, ring))
+        landed.callbacks.append(self._land_response)
+
+    def _land_response(self, landed) -> None:
+        """The response reaches its ring, unless the fault plan loses
+        it."""
+        response, ring = landed.value
+        plan = self.fault_plan
+        if plan is not None and plan.response_lost(
+                self.endpoint_id, response.request.op, self.sim.now):
             self.responses_lost += 1
             ring.drop_response(response)
             return
@@ -160,7 +179,7 @@ class QatEndpoint:
 
     @property
     def busy_engines(self) -> int:
-        return self.engines.in_use
+        return self._busy
 
     def total_in_flight(self) -> int:
         return sum(r.in_flight for inst in self.instances

@@ -18,11 +18,11 @@ Injection points (installed via :meth:`QatDevice.install_fault_plan`):
   ring-full storms (the card reports full rings regardless of actual
   occupancy).
 - ``latency_multiplier`` / ``corrupt`` / ``response_lost`` — consulted
-  by :meth:`QatEndpoint._run_engine` at service start, completion, and
-  response landing; model latency spikes, bad status codes, and lost
-  completions (the response never reaches the response ring; the
-  hardware credits the slot back, the op must be recovered by the
-  engine's deadline machinery).
+  by the :class:`~repro.qat.endpoint.QatEndpoint` request pipeline at
+  service start, completion, and response landing; model latency
+  spikes, bad status codes, and lost completions (the response never
+  reaches the response ring; the hardware credits the slot back, the
+  op must be recovered by the engine's deadline machinery).
 - ``resets`` — scheduled on the simulator when the plan is installed;
   a reset wipes an endpoint's queued requests and unretrieved
   responses, as a device-level recovery action would.

@@ -14,7 +14,8 @@ before the next heap pop. Code in that callback may therefore do now
 what the kernel would do next without changing the event order
 (:meth:`Process._resume <repro.sim.process.Process._resume>` resumes
 inline on the calendar's head; :meth:`repro.cpu.core.Core.consume`
-takes an idle core without a request event).
+takes an idle core without a request event and ends a charge without a
+timeout).
 """
 
 from __future__ import annotations

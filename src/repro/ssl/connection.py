@@ -19,6 +19,7 @@ from ..obs.span import SpanStatus
 from ..offload.engine import AsyncOffloadEngine
 from ..tls.actions import (CryptoCall, HandshakeResult, NeedMessage,
                            SendMessage)
+from ..tls.messages import ClientKeyExchange, ServerKeyExchange
 from ..tls.record import RecordLayer, TlsRecord
 from .async_job import AsyncJob, FiberAsyncJob, JobState, StackAsyncJob
 from .status import SslStatus
@@ -272,7 +273,6 @@ class SslConnection:
     def _marshal_extra(self, message) -> float:
         """Extra CPU for (de)serializing EC points in key-exchange
         messages (ServerKeyExchange construction, point parsing)."""
-        from ..tls.messages import ClientKeyExchange, ServerKeyExchange
         if isinstance(message, ServerKeyExchange):
             return self.ctx.cost_model.ec_marshal_cost
         if isinstance(message, ClientKeyExchange) and message.public:

@@ -57,27 +57,38 @@ class HandshakeMessage:
     msg_type = None   # type: Optional[HandshakeType]
     overhead = 8      # header/extension framing bytes on the wire
 
+    # Messages are immutable and shared by both peers, so the encoding
+    # and the wire size are computed once and kept in the instance dict,
+    # outside the dataclass fields (equality and repr ignore them).
+
     def to_bytes(self) -> bytes:
         """Canonical encoding for transcripts and signatures."""
-        out = bytearray()
-        out += int(self.msg_type).to_bytes(1, "big")
-        for name in _field_names(type(self)):
-            out += _encode_field(getattr(self, name))
-        return bytes(out)
+        encoded = self.__dict__.get("_encoded")
+        if encoded is None:
+            out = bytearray()
+            out += int(self.msg_type).to_bytes(1, "big")
+            for name in _field_names(type(self)):
+                out += _encode_field(getattr(self, name))
+            encoded = bytes(out)
+            object.__setattr__(self, "_encoded", encoded)
+        return encoded
 
     def wire_size(self) -> int:
         """Approximate on-the-wire size in bytes."""
-        size = self.overhead + 4  # handshake header
-        for name in _field_names(type(self)):
-            v = getattr(self, name)
-            if isinstance(v, bytes):
-                size += len(v)
-            elif isinstance(v, str):
-                size += len(v)
-            elif isinstance(v, (tuple, list)):
-                size += 2 * len(v) + 2
-            elif v is not None:
-                size += 2
+        size = self.__dict__.get("_wire_size")
+        if size is None:
+            size = self.overhead + 4  # handshake header
+            for name in _field_names(type(self)):
+                v = getattr(self, name)
+                if isinstance(v, bytes):
+                    size += len(v)
+                elif isinstance(v, str):
+                    size += len(v)
+                elif isinstance(v, (tuple, list)):
+                    size += 2 * len(v) + 2
+                elif v is not None:
+                    size += 2
+            object.__setattr__(self, "_wire_size", size)
         return size
 
 

@@ -138,3 +138,26 @@ def test_notify_fd_wakes_epoll():
     assert result["ready"] == [nfd]
     assert result["count"] == 2
     assert not nfd.readable
+
+
+def test_readiness_wakeup_cancels_the_wait_timer():
+    sim, core, ep = make_env()
+    a, b = socket_pair(sim, Link(sim, latency=1e-3), Link(sim, 1e-3))
+    ep.register(b)
+    result = {}
+
+    def loop(sim):
+        ready = yield from ep.wait(core, timeout=50e-3)
+        result["ready"] = ready
+        result["at"] = sim.now
+        result["live_after_wake"] = sim.peek()
+
+    sim.process(loop(sim))
+    sim.call_in(5e-3, lambda: a.send(b"early"))
+    sim.run()
+    assert result["ready"] == [b]
+    assert result["at"] < 10e-3
+    # Nothing is left to fire: the 50 ms timer was cancelled, so the
+    # run ends at the wake-up, not at the timer's deadline.
+    assert result["live_after_wake"] == float("inf")
+    assert sim.now == result["at"]

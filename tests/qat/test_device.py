@@ -5,7 +5,9 @@ import pytest
 from repro.crypto.ops import CryptoOp, CryptoOpKind
 from repro.qat import (QatDevice, QatUserspaceDriver, dh8970,
                        qat_service_time)
-from repro.sim import Simulator
+from repro.qat.faults import FaultPlan
+from repro.sim import Process, Simulator
+from repro.sim.rng import RngRegistry
 
 
 def rsa_op():
@@ -229,3 +231,92 @@ def test_cipher_service_time_scales_with_bytes():
     small = qat_service_time(CryptoOp(CryptoOpKind.RECORD_CIPHER, nbytes=1024))
     big = qat_service_time(CryptoOp(CryptoOpKind.RECORD_CIPHER, nbytes=16384))
     assert big > small
+
+
+# -- the request pipeline ------------------------------------------------
+
+
+def test_busy_engines_bounded_by_engine_count_and_drains():
+    sim = Simulator()
+    dev, drv = make_driver(sim, engines_per_endpoint=3)
+    ep = dev.endpoints[0]
+    for i in range(10):
+        assert drv.try_submit(rsa_op(), compute=lambda i=i: i)
+    seen = {ep.busy_engines}
+    while sim.peek() < float("inf"):
+        sim.step()
+        seen.add(ep.busy_engines)
+    assert max(seen) == ep.n_engines == 3
+    assert min(seen) == ep.busy_engines == 0
+    assert sorted(r.result for r in drv.poll()) == list(range(10))
+
+
+def test_requests_run_without_a_process_each(monkeypatch):
+    created = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kw):
+        created.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    sim = Simulator()
+    _, drv = make_driver(sim, engines_per_endpoint=2)
+    for i in range(5):
+        drv.try_submit(rsa_op(), compute=lambda i=i: i)
+    sim.run()
+    assert len(drv.poll()) == 5
+    assert created == []
+
+
+def test_fault_hooks_and_reset_in_service_keep_their_outcomes():
+    """Latency spikes, corrupted and lost responses, a failing compute
+    and an endpoint reset while two ops are in service, on two engines.
+    The expected outcomes are pinned: they are what the endpoint
+    produced when each request ran as its own simulation process."""
+    service = qat_service_time(rsa_op())
+    sim = Simulator()
+    dev = QatDevice(sim, n_endpoints=1, engines_per_endpoint=2)
+    plan = FaultPlan(RngRegistry(11).stream("faults"),
+                     latency_spike_rate=0.4, latency_spike_factor=4.0,
+                     corruption=0.3, response_loss=0.3,
+                     resets=((0, 5.5 * service),))
+    dev.install_fault_plan(plan)
+    drv = QatUserspaceDriver(dev.allocate_instances(1)[0])
+    ep = dev.endpoints[0]
+
+    def boom():
+        raise ValueError("bad padding")
+
+    for i in range(12):
+        drv.try_submit(rsa_op(), compute=boom if i == 3 else lambda i=i: i,
+                       cookie=i)
+    sim.run()
+
+    def at(t):  # simulated time in units of one RSA service time
+        return round(t / service, 6)
+
+    responses = sorted(drv.poll(), key=lambda r: (r.completed_at, r.cookie))
+    assert [(r.cookie, r.ok, type(r.error).__name__, at(r.completed_at))
+            for r in responses] == [
+        (2, False, "QatHardwareError", 6.157143),
+        (3, False, "QatHardwareError", 6.157143),
+        (4, True, "NoneType", 7.185714),
+        (5, False, "QatHardwareError", 7.185714),
+    ]
+    assert [(at(t), kind, detail) for t, kind, detail in plan.trace()] == [
+        (0.0, "latency_spike", "ep0 rsa_priv x4"),
+        (1.028571, "latency_spike", "ep0 rsa_priv x4"),
+        (2.128571, "response_lost", "ep0 rsa_priv"),
+        (5.057143, "response_corrupted", "ep0 rsa_priv"),
+        (5.057143, "response_corrupted", "ep0 rsa_priv"),
+        (5.5, "endpoint_reset", "ep0 dropped 7 entries"),
+        (6.085714, "response_corrupted", "ep0 rsa_priv"),
+    ]
+    totals = dev.fw_counter_totals()
+    assert (totals["total"], totals["errors"], totals["responses_lost"]) \
+        == (6, 3, 1)
+    assert ep.responses_lost == 1
+    assert ep.busy_engines == 0
+    assert dev.total_in_flight() == 0
+    assert at(sim.now) == 7.185714

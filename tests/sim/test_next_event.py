@@ -177,3 +177,111 @@ def test_uncontended_charges_take_no_kernel_step_each(monkeypatch):
     # Boot and exit only, versus those plus a request and a timeout per
     # charge.
     assert (elided, plain) == (2, 22)
+
+
+# -- inline charge -------------------------------------------------------
+
+
+def record_timeouts(monkeypatch):
+    """Log ``(now, delay)`` for every timeout created from now on."""
+    made = []
+    timeout = Simulator.timeout
+
+    def recording(sim, delay, *args, **kw):
+        made.append((sim.now, delay))
+        return timeout(sim, delay, *args, **kw)
+
+    monkeypatch.setattr(Simulator, "timeout", recording)
+    return made
+
+
+def test_charge_ending_at_the_head_events_time_still_times_out(monkeypatch):
+    """The head event due exactly when the charge ends was scheduled
+    first, so its callbacks run before the charging process resumes."""
+    made = record_timeouts(monkeypatch)
+    sim = Simulator()
+    core = Core(sim, 0)
+    log = []
+
+    def charger():
+        yield sim.timeout(1.0)
+        yield from core.consume(2.0)
+        log.append(("charged", sim.now))
+
+    sim.call_at(3.0, lambda: log.append(("head", sim.now)))
+    sim.process(charger())
+    sim.run()
+    assert log == [("head", 3.0), ("charged", 3.0)]
+    assert made == [(0.0, 3.0), (0.0, 1.0), (1.0, 2.0)]
+
+
+def test_charge_ending_at_the_run_horizon_still_times_out(monkeypatch):
+    made = record_timeouts(monkeypatch)
+    sim = Simulator()
+    core = Core(sim, 0)
+    log = []
+
+    def charger():
+        yield from core.consume(2.0)
+        log.append(sim.now)
+
+    sim.process(charger())
+    sim.run(until=2.0)
+    # The charge's timeout outranks the same-time horizon sentinel.
+    assert log == [2.0] and sim.now == 2.0
+    assert made == [(0.0, 2.0)]
+
+
+def test_charge_past_the_run_horizon_parks_until_the_next_run():
+    sim = Simulator()
+    core = Core(sim, 0)
+    log = []
+
+    def charger():
+        yield from core.consume(3.0)
+        log.append(sim.now)
+
+    sim.process(charger())
+    sim.run(until=2.0)
+    assert log == [] and sim.now == 2.0
+    sim.run()
+    assert log == [3.0]
+
+
+def test_charge_on_an_empty_calendar_completes_inline(monkeypatch):
+    made = record_timeouts(monkeypatch)
+    sim = Simulator()
+    core = Core(sim, 0)
+    log = []
+
+    def charger():
+        yield from core.consume(2.0)
+        log.append(sim.now)
+
+    sim.process(charger())
+    sim.run()
+    assert log == [2.0] and sim.now == 2.0
+    assert made == []
+    assert core.stats.busy_time == 2.0 and core._lock.in_use == 0
+
+
+def test_uncontended_charges_with_nothing_due_allocate_no_timeout(
+        monkeypatch):
+    def charges(made):
+        sim = Simulator()
+        core = Core(sim, 0)
+        sim.call_at(100.0, lambda: None)
+
+        def worker():
+            for _ in range(10):
+                yield from core.consume(0.5)
+
+        sim.process(worker())
+        sim.run()
+        return sum(1 for _now, delay in made if delay == 0.5)
+
+    made = record_timeouts(monkeypatch)
+    assert charges(made) == 0
+    monkeypatch.setattr(kernel, "_TAIL_ELISION", False)
+    made.clear()
+    assert charges(made) == 10

@@ -1,5 +1,7 @@
 """Session cache, suite registry and message encoding tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import Simulator
@@ -133,6 +135,18 @@ def test_message_encoding_deterministic():
     ch1 = ClientHello(client_random=b"\x01" * 32, cipher_suites=("TLS-RSA",))
     ch2 = ClientHello(client_random=b"\x01" * 32, cipher_suites=("TLS-RSA",))
     assert ch1.to_bytes() == ch2.to_bytes()
+
+
+def test_message_encoding_cached_outside_equality_and_repr():
+    used = ClientHello(client_random=b"\x01" * 32, cipher_suites=("TLS-RSA",))
+    fresh = ClientHello(client_random=b"\x01" * 32, cipher_suites=("TLS-RSA",))
+    encoded, size = used.to_bytes(), used.wire_size()
+    assert used.to_bytes() is encoded
+    assert (encoded, size) == (fresh.to_bytes(), fresh.wire_size())
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    changed = dataclasses.replace(used, client_random=b"\x02" * 32)
+    assert changed.to_bytes() != encoded
 
 
 def test_message_encoding_sensitive_to_fields():
