@@ -62,7 +62,6 @@ ALLOWLIST: Dict[str, str] = {
     "load_module": "informational in nginx confs; parser skips it",
     "ssl_engine": "structural block name, not a knob",
     "qat_engine": "structural block name, not a knob",
-    "remote_accelerator": "structural block name, not a knob",
     "default_algorithm": "algorithm routing is fixed by the paper's "
                          "engine config; suites already vary the mix",
     "ssl_ecdh_curve": "curve choice only scales service times; suites "
@@ -76,21 +75,6 @@ ALLOWLIST: Dict[str, str] = {
     # comparable across seeds
     "qat_submit_max_retries": "retry budget fixed; fault plans vary "
                               "the failure pattern instead",
-    "qat_breaker_failure_threshold": "breaker tuning fixed; outage "
-                                     "fault draws exercise the breaker",
-    "qat_breaker_reset_timeout": "breaker tuning fixed; outage fault "
-                                 "draws exercise the breaker",
-    "qat_software_fallback": "always-on default is the paper's "
-                             "behaviour; the off path is unit-tested",
-    "qat_batch_timeout": "batch size is sampled; the timeout only "
-                         "bounds flush latency",
-    # remote-backend shape: the backend itself is sampled via
-    # offload_backend; its link/pool shape stays calibrated
-    "processors": "remote service pool fixed at calibrated size",
-    "window": "remote credit window fixed at calibrated size",
-    "link_latency": "remote link characteristics fixed (calibrated)",
-    "link_bandwidth": "remote link characteristics fixed (calibrated)",
-    "service_scale": "remote service-time scale fixed (calibrated)",
 }
 
 #: Root-relative path suffixes of the cross-referenced sources.

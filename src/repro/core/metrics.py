@@ -89,9 +89,5 @@ class ClientMetrics:
         idx = min(len(lat) - 1, int(round(q / 100 * (len(lat) - 1))))
         return lat[idx]
 
-    def mean_handshake_time(self, start: float, end: float) -> float:
-        events = self._window(self.handshakes, start, end)
-        return mean(e[1] for e in events)
-
     def count_handshakes(self, start: float, end: float) -> int:
         return len(self._window(self.handshakes, start, end))

@@ -69,12 +69,6 @@ class RequestTracer:
         #: ``(time, name, args)`` tuples, exported as Chrome "i"
         #: (instant) events.
         self.events: List[Tuple[float, str, Dict[str, object]]] = []
-        #: Firmware-level op counts (mirrors fw_counters, but visible
-        #: per tracer so experiments can diff traced vs processed).
-        self.fw_records: Dict[str, int] = {}
-
-    def add_sink(self, sink: SpanSink) -> None:
-        self.sinks.append(sink)
 
     # -- trace lifecycle ------------------------------------------------------
 
@@ -158,11 +152,6 @@ class RequestTracer:
         pool lease migrating between workers."""
         self.events.append((now, name, dict(args or {})))
 
-    def fw_record(self, endpoint_id: int, op, ok: bool) -> None:
-        """Firmware hook: one request processed by the accelerator."""
-        key = f"ep{endpoint_id}.{op.kind.label}" + ("" if ok else ".err")
-        self.fw_records[key] = self.fw_records.get(key, 0) + 1
-
     # -- summaries ---------------------------------------------------------------
 
     def percentile(self, backend: str, stage: str, q: float) -> float:
@@ -190,7 +179,6 @@ class RequestTracer:
         self.histograms.clear()
         self.timelines.clear()
         self.events.clear()
-        self.fw_records.clear()
         self.ops_started = self.ops_closed = 0
         self.spans_closed = self.sampled_out = 0
         self._seq = 0

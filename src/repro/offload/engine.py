@@ -69,22 +69,7 @@ from .health import CircuitBreaker
 from .inflight import InflightCounters
 from .scheduler import ClassScheduler
 
-__all__ = ["AsyncOffloadEngine", "ALGORITHM_GROUPS",
-           "backoff_jitter_fraction"]
-
-_MASK64 = (1 << 64) - 1
-
-
-def backoff_jitter_fraction(seed: int, attempts: int) -> float:
-    """Deterministic jitter in ``[0, 1)``: a splitmix64-style hash of
-    ``(seed, attempts)``. Pure — no RNG state is consumed, so replays
-    stay bit-for-bit while engines seeded differently desynchronize
-    their retry instants."""
-    x = (seed + attempts * 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return (x >> 11) / float(1 << 53)
+__all__ = ["AsyncOffloadEngine", "ALGORITHM_GROUPS"]
 
 #: ``default_algorithm`` groups accepted by the ssl_engine framework
 #: (appendix A.7): which op kinds each group enables for offload.
@@ -148,8 +133,7 @@ class AsyncOffloadEngine:
                  admission_limit: Optional[int] = None,
                  sched_policy: str = "fifo",
                  sched_weights: Optional[Dict[str, int]] = None,
-                 conn_budget: Optional[int] = None,
-                 backoff_jitter_seed: Optional[int] = None) -> None:
+                 conn_budget: Optional[int] = None) -> None:
         if request_deadline <= 0:
             raise ValueError("request deadline must be positive")
         if submit_max_retries < 1:
@@ -170,10 +154,6 @@ class AsyncOffloadEngine:
         self.software_fallback = software_fallback
         self.batch_size = batch_size
         self.batch_timeout = batch_timeout
-        #: None = no jitter (bit-for-bit the historical backoff). Set
-        #: per worker (from its RNG stream) so simultaneous ring-full
-        #: rejections across workers retry at different instants.
-        self.backoff_jitter_seed = backoff_jitter_seed
         self.breakers: List[CircuitBreaker] = [
             CircuitBreaker(lambda: self.core.sim.now,
                            failure_threshold=breaker_failure_threshold,
@@ -343,16 +323,13 @@ class AsyncOffloadEngine:
                    for i, b in enumerate(self.breakers))
 
     def submit_backoff(self, attempts: int) -> float:
-        """Exponential backoff before retry number ``attempts + 1``,
-        jittered into ``[base/2, base)`` when a jitter seed is set so
-        workers that bounced off the same full ring in the same pass
-        don't re-collide on every retry."""
-        base = min(self.busy_poll_slice * (2 ** max(attempts - 1, 0)),
+        """Exponential backoff before retry number ``attempts + 1``:
+        one busy-poll slice, doubling per rejection, capped at 128
+        slices. Deterministic and unjittered: under the default static
+        instance policy each worker owns its rings, so there are no
+        cross-worker retries to desynchronise."""
+        return min(self.busy_poll_slice * (2 ** max(attempts - 1, 0)),
                    128 * self.busy_poll_slice)
-        if self.backoff_jitter_seed is None:
-            return base
-        frac = backoff_jitter_fraction(self.backoff_jitter_seed, attempts)
-        return base * (0.5 + 0.5 * frac)
 
     # -- software fallback ----------------------------------------------------
 

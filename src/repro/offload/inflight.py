@@ -18,11 +18,9 @@ class InflightCounters:
 
     def __init__(self) -> None:
         self._counts = {cat: 0 for cat in OpCategory}
-        self.peak_total = 0
 
     def increment(self, category: OpCategory) -> None:
         self._counts[category] += 1
-        self.peak_total = max(self.peak_total, self.total)
 
     def decrement(self, category: OpCategory) -> None:
         if self._counts[category] <= 0:
@@ -45,12 +43,3 @@ class InflightCounters:
     def total(self) -> int:
         """Rtotal = Rasym + Rcipher + Rprf."""
         return sum(self._counts.values())
-
-    def snapshot(self) -> dict:
-        return {cat.value: n for cat, n in self._counts.items()}
-
-    def by_class(self) -> dict:
-        """Counts keyed by scheduling class name — the single source
-        the class-aware scheduler, poller and stub_status all read
-        (no layer keeps shadow per-category accounting)."""
-        return {cat.sched_class: n for cat, n in self._counts.items()}

@@ -12,7 +12,7 @@ Queue model::
     worker core --submit_batch--> [tx link] --> service queue
                                                 (FIFO, N processors,
                                                  qat-derived service
-                                                 times x scale)
+                                                 times)
     completions <-- [rx link] <---------------- per-op replies
 
 Admission is a credit *window*: at most ``window`` ops outstanding per
@@ -40,7 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Simulator
 
 __all__ = ["RemoteAcceleratorBackend", "RemoteCryptoService",
-           "RPC_SUBMIT_CPU_COST", "RPC_PER_OP_CPU_COST"]
+           "RPC_SUBMIT_CPU_COST", "RPC_PER_OP_CPU_COST",
+           "REMOTE_LINK_LATENCY", "REMOTE_LINK_BANDWIDTH"]
 
 #: CPU cost of issuing one RPC (syscall + header serialization),
 #: paid once per batch.
@@ -51,6 +52,10 @@ RPC_PER_OP_CPU_COST = 0.3e-6
 RPC_POLL_CPU_COST = 0.5e-6
 #: CPU cost per completion drained.
 RPC_POLL_PER_RESPONSE_CPU_COST = 0.3e-6
+
+#: One-way latency and bandwidth of each server<->appliance link.
+REMOTE_LINK_LATENCY = 20e-6
+REMOTE_LINK_BANDWIDTH = 25e9
 
 #: Wire sizes of the RPC framing and payloads.
 RPC_REQUEST_HEADER_BYTES = 96
@@ -80,26 +85,18 @@ class RemoteCryptoService:
     """The appliance side: a FIFO pool of crypto processors.
 
     Shared by all workers of a server (one appliance per deployment);
-    per-op service times reuse the QAT calibration scaled by
-    ``service_scale`` (> 1 models a slower network box, < 1 a beefier
-    one).
+    per-op service times reuse the QAT calibration.
     """
 
     def __init__(self, sim: "Simulator", n_processors: int = 8,
-                 service_scale: float = 1.0, name: str = "accel0") -> None:
+                 name: str = "accel0") -> None:
         if n_processors < 1:
             raise ValueError("need at least one processor")
-        if service_scale <= 0:
-            raise ValueError("service scale must be positive")
         self.sim = sim
         self.name = name
-        self.service_scale = service_scale
         self.processors = Resource(sim, n_processors, name=f"{name}-proc")
         self.requests_served = 0
         self.peak_queue = 0
-
-    def service_time(self, op) -> float:
-        return qat_service_time(op) * self.service_scale
 
     def submit(self, request: _RemoteRequest,
                reply: Callable[[_RemoteRequest, Any,
@@ -113,7 +110,7 @@ class RemoteCryptoService:
         self.peak_queue = max(self.peak_queue, self.processors.queue_length)
         if not grant.triggered:
             yield grant
-        yield self.sim.timeout(self.service_time(request.op))
+        yield self.sim.timeout(qat_service_time(request.op))
         try:
             result, error = request.compute(), None
         except Exception as exc:

@@ -23,10 +23,6 @@ class FirmwareCounters:
         self.by_category: Counter = Counter()
         self.errors = 0
         self.total = 0
-        #: Optional per-record hook ``sink(op, ok)`` — lets observers
-        #: (tracers, tests) see firmware-level completions as they
-        #: happen rather than only in aggregate.
-        self.sink = None
 
     def record(self, op: CryptoOp, ok: bool = True) -> None:
         self.total += 1
@@ -34,8 +30,6 @@ class FirmwareCounters:
         self.by_category[op.category.value] += 1
         if not ok:
             self.errors += 1
-        if self.sink is not None:
-            self.sink(op, ok)
 
     def snapshot(self) -> Dict[str, int]:
         snap = {f"kind.{k}": v for k, v in sorted(self.by_kind.items())}

@@ -166,10 +166,6 @@ def _parse_ssl_engine(block: Block) -> SslEngineConfig:
             if not isinstance(value, dict):
                 raise ConfError("qat_engine must be a block")
             _parse_qat_engine(value, engine)
-        elif directive == "remote_accelerator":
-            if not isinstance(value, dict):
-                raise ConfError("remote_accelerator must be a block")
-            _parse_remote_accelerator(value, engine)
         elif directive == "offload_admission_limit":
             limit = int(_one(value, directive))
             if limit < 1:
@@ -232,24 +228,6 @@ def _parse_sched_weights(spec: str) -> Dict[str, int]:
     return weights
 
 
-def _parse_remote_accelerator(block: Block,
-                              engine: SslEngineConfig) -> None:
-    for directive, value in block.items():
-        if directive == "processors":
-            engine.remote_processors = int(_one(value, directive))
-        elif directive == "window":
-            engine.remote_window = int(_one(value, directive))
-        elif directive == "link_latency":
-            engine.remote_link_latency = float(_one(value, directive))
-        elif directive == "link_bandwidth":
-            engine.remote_link_bandwidth = float(_one(value, directive))
-        elif directive == "service_scale":
-            engine.remote_service_scale = float(_one(value, directive))
-        else:
-            raise ConfError(
-                f"unknown remote_accelerator directive {directive!r}")
-
-
 def _parse_qat_engine(block: Block, engine: SslEngineConfig) -> None:
     for directive, value in block.items():
         if directive == "qat_offload_mode":
@@ -275,18 +253,8 @@ def _parse_qat_engine(block: Block, engine: SslEngineConfig) -> None:
             engine.qat_watchdog_interval = float(_one(value, directive))
         elif directive == "qat_submit_max_retries":
             engine.qat_submit_max_retries = int(_one(value, directive))
-        elif directive == "qat_breaker_failure_threshold":
-            engine.qat_breaker_failure_threshold = int(
-                _one(value, directive))
-        elif directive == "qat_breaker_reset_timeout":
-            engine.qat_breaker_reset_timeout = float(_one(value, directive))
-        elif directive == "qat_software_fallback":
-            engine.qat_software_fallback = (
-                _one(value, directive) not in ("off", "0", "false"))
         elif directive == "qat_batch_size":
             engine.qat_batch_size = int(_one(value, directive))
-        elif directive == "qat_batch_timeout":
-            engine.qat_batch_timeout = float(_one(value, directive))
         elif directive == "qat_instance_policy":
             policy = _one(value, directive)
             if policy not in ("static", "shared", "dynamic"):

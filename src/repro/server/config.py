@@ -55,17 +55,9 @@ class SslEngineConfig:
     #: Worker watchdog sweep interval (0 disables the watchdog).
     qat_watchdog_interval: float = 5e-3
     qat_submit_max_retries: int = 32
-    qat_breaker_failure_threshold: int = 5
-    qat_breaker_reset_timeout: float = 10e-3
-    #: Complete failed/expired offload ops on the CPU instead of
-    #: surfacing OffloadTimeout to the TLS layer.
-    qat_software_fallback: bool = True
     #: Submission batching: coalesce up to this many queued ops into
     #: one backend submit call (1 = no batching, the paper's behavior).
     qat_batch_size: int = 1
-    #: Flush an under-filled batch this long after its oldest op was
-    #: enqueued, so latency-sensitive handshakes never stall.
-    qat_batch_timeout: float = 50e-6
     #: Per-worker admission control (any backend): at most this many
     #: concurrently offloaded ops; excess submissions wait in a FIFO
     #: backpressure queue inside the engine instead of bouncing off
@@ -85,14 +77,6 @@ class SslEngineConfig:
     #: connection concurrently on the accelerator path; excess ops wait
     #: in their class lane. 0 disables (unbounded).
     offload_conn_budget: int = 0
-    #: Remote-accelerator backend (offload_backend "remote"): service
-    #: processor pool, per-worker credit window, link characteristics
-    #: and a scale factor on the QAT-calibrated service times.
-    remote_processors: int = 8
-    remote_window: int = 256
-    remote_link_latency: float = 20e-6
-    remote_link_bandwidth: float = 25e9
-    remote_service_scale: float = 1.0
 
     def validate(self) -> None:
         if self.use_engine not in ("", "qat_engine"):
@@ -107,18 +91,6 @@ class SslEngineConfig:
                 "(a remote service has no local IRQ line)")
         if self.qat_batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.qat_batch_timeout <= 0:
-            raise ValueError("batch timeout must be positive")
-        if self.remote_processors < 1:
-            raise ValueError("need at least one remote processor")
-        if self.remote_window < 1:
-            raise ValueError("remote credit window must be >= 1")
-        if self.remote_link_latency < 0:
-            raise ValueError("remote link latency must be >= 0")
-        if self.remote_link_bandwidth <= 0:
-            raise ValueError("remote link bandwidth must be positive")
-        if self.remote_service_scale <= 0:
-            raise ValueError("remote service scale must be positive")
         if self.qat_offload_mode not in ("sync", "async"):
             raise ValueError(
                 f"unknown offload mode {self.qat_offload_mode!r}")
@@ -169,10 +141,6 @@ class SslEngineConfig:
             raise ValueError("watchdog interval must be >= 0")
         if self.qat_submit_max_retries < 1:
             raise ValueError("need at least one submit attempt")
-        if self.qat_breaker_failure_threshold < 1:
-            raise ValueError("breaker failure threshold must be >= 1")
-        if self.qat_breaker_reset_timeout <= 0:
-            raise ValueError("breaker reset timeout must be positive")
 
 
 @dataclass
@@ -188,7 +156,6 @@ class ServerConfig:
     #: TLS protocol version: "1.2" or "1.3".
     tls_version: str = "1.2"
     session_cache_enabled: bool = True
-    session_lifetime: float = 3600.0
     #: Issue stateless session tickets (RFC 5077) alongside the cache.
     session_tickets: bool = False
     keepalive: bool = True

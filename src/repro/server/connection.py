@@ -81,10 +81,6 @@ class ServerConnection:
         self.retry_not_before = 0.0
 
     @property
-    def is_idle(self) -> bool:
-        return self.state is ConnState.IDLE
-
-    @property
     def in_async(self) -> bool:
         return self.state is ConnState.TLS_ASYNC
 

@@ -15,7 +15,8 @@ from ..net.link import Link
 from ..net.network import Network
 from ..offload.engine import AsyncOffloadEngine
 from ..offload.pool import DynamicPolicy, InstancePool, make_policy
-from ..offload.remote import RemoteAcceleratorBackend, RemoteCryptoService
+from ..offload.remote import (REMOTE_LINK_BANDWIDTH, REMOTE_LINK_LATENCY,
+                              RemoteAcceleratorBackend, RemoteCryptoService)
 from ..qat.device import QatDevice
 from ..qat.driver import QatUserspaceDriver
 from ..sim.rng import RngRegistry
@@ -66,8 +67,7 @@ class TlsServer:
             self._cred_ecdsa = provider.make_ecdsa_credentials(
                 config.curves[0], cred_rng)
 
-        self.session_cache = (SessionCache(sim,
-                                           lifetime=config.session_lifetime)
+        self.session_cache = (SessionCache(sim)
                               if config.session_cache_enabled else None)
         # One STEK shared by all workers (as deployments rotate and
         # distribute ticket keys fleet-wide).
@@ -75,8 +75,7 @@ class TlsServer:
         if config.session_tickets:
             from ..tls.ticket import TicketKeeper
             self.ticket_keeper = TicketKeeper(
-                bytes(rng.stream("stek").bytes(16)),
-                lifetime=config.session_lifetime)
+                bytes(rng.stream("stek").bytes(16)))
 
         self.topology = CpuTopology(sim, config.worker_processes,
                                     ht_efficiency=ht_efficiency)
@@ -109,17 +108,14 @@ class TlsServer:
         self._remote_tx: Optional[Link] = None
         self._remote_rx: Optional[Link] = None
         if config.uses_remote:
-            eng_cfg = config.ssl_engine
-            self.remote_service = RemoteCryptoService(
-                sim, n_processors=eng_cfg.remote_processors,
-                service_scale=eng_cfg.remote_service_scale)
+            self.remote_service = RemoteCryptoService(sim)
             self._remote_tx = Link(
-                sim, latency=eng_cfg.remote_link_latency,
-                bandwidth_bps=eng_cfg.remote_link_bandwidth,
+                sim, latency=REMOTE_LINK_LATENCY,
+                bandwidth_bps=REMOTE_LINK_BANDWIDTH,
                 name="server->accel")
             self._remote_rx = Link(
-                sim, latency=eng_cfg.remote_link_latency,
-                bandwidth_bps=eng_cfg.remote_link_bandwidth,
+                sim, latency=REMOTE_LINK_LATENCY,
+                bandwidth_bps=REMOTE_LINK_BANDWIDTH,
                 name="accel->server")
 
         # Listen sockets outlive worker incarnations (nginx inherits
@@ -161,24 +157,13 @@ class TlsServer:
                 algorithms=eng_cfg.default_algorithm,
                 request_deadline=eng_cfg.qat_request_deadline,
                 submit_max_retries=eng_cfg.qat_submit_max_retries,
-                breaker_failure_threshold=(
-                    eng_cfg.qat_breaker_failure_threshold),
-                breaker_reset_timeout=(
-                    eng_cfg.qat_breaker_reset_timeout),
-                software_fallback=eng_cfg.qat_software_fallback,
                 batch_size=eng_cfg.qat_batch_size,
-                batch_timeout=eng_cfg.qat_batch_timeout,
                 admission_limit=(
                     eng_cfg.offload_admission_limit or None),
                 sched_policy=eng_cfg.offload_sched_policy,
                 sched_weights=(
                     dict(eng_cfg.offload_sched_weights) or None),
-                conn_budget=(eng_cfg.offload_conn_budget or None),
-                # Per-incarnation retry-backoff jitter seed: one draw
-                # from the worker's stream, so simultaneous ring-full
-                # bounces across workers desynchronize their retries
-                # while same-seed runs replay bit-for-bit.
-                backoff_jitter_seed=int(worker_rng.integers(1 << 63)))
+                conn_budget=(eng_cfg.offload_conn_budget or None))
             if config.uses_qat:
                 backend = self.instance_pool.register(worker_id)
                 engine = AsyncOffloadEngine(
@@ -186,8 +171,7 @@ class TlsServer:
             elif config.uses_remote:
                 backend = RemoteAcceleratorBackend(
                     sim, self.remote_service,
-                    tx_link=self._remote_tx, rx_link=self._remote_rx,
-                    window=eng_cfg.remote_window)
+                    tx_link=self._remote_tx, rx_link=self._remote_rx)
                 engine = AsyncOffloadEngine(
                     backend, core, self.cost_model, **engine_kw)
             else:

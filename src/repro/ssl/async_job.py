@@ -50,6 +50,8 @@ class AsyncJob:
     def __init__(self, make_gen: Callable[[], Generator],
                  kind: str = "job") -> None:
         self._make_gen = make_gen
+        self._gen = make_gen()
+        self._started = False
         self.kind = kind  # async-handler identity: handshake/read/write
         self.state = JobState.RUNNING
         self.wait_ctx = AsyncWaitCtx()
@@ -110,7 +112,21 @@ class AsyncJob:
 
     def advance(self, value: Any = None,
                 exc: Optional[BaseException] = None) -> Tuple[str, Any]:
-        raise NotImplementedError
+        """Step the state machine: ``("action", a)`` or ``("done",
+        result)``."""
+        try:
+            if not self._started:
+                self._started = True
+                action = self._gen.send(None)
+            elif exc is not None:
+                action = self._gen.throw(exc)
+            else:
+                action = self._gen.send(value)
+        except StopIteration as stop:
+            self.state = JobState.FINISHED
+            self.result = stop.value
+            return ("done", stop.value)
+        return ("action", action)
 
     # Recording hooks: only the stack implementation memoizes.
 
@@ -132,29 +148,8 @@ class AsyncJob:
 
 
 class FiberAsyncJob(AsyncJob):
-    """Generator-as-fiber implementation (OpenSSL 1.1.0 fiber async)."""
-
-    def __init__(self, make_gen: Callable[[], Generator],
-                 kind: str = "job") -> None:
-        super().__init__(make_gen, kind)
-        self._gen = make_gen()
-        self._started = False
-
-    def advance(self, value: Any = None,
-                exc: Optional[BaseException] = None) -> Tuple[str, Any]:
-        try:
-            if not self._started:
-                self._started = True
-                action = self._gen.send(None)
-            elif exc is not None:
-                action = self._gen.throw(exc)
-            else:
-                action = self._gen.send(value)
-        except StopIteration as stop:
-            self.state = JobState.FINISHED
-            self.result = stop.value
-            return ("done", stop.value)
-        return ("action", action)
+    """Generator-as-fiber implementation (OpenSSL 1.1.0 fiber async):
+    :meth:`AsyncJob.advance` resumes the paused generator in place."""
 
 
 class StackAsyncJob(AsyncJob):
@@ -169,18 +164,12 @@ class StackAsyncJob(AsyncJob):
     def __init__(self, make_gen: Callable[[], Generator], kind: str = "job",
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__(make_gen, kind)
-        self._gen = make_gen()
-        self._started = False
         self._rng = rng
         self._rng_snapshot = (None if rng is None
                               else rng.bit_generator.state)
         # Log: ("crypto", result) | ("msg", message) | ("send",)
         self._log: List[Tuple[str, Any]] = []
         self.replayed_steps = 0
-
-    @property
-    def completed_steps(self) -> int:
-        return len(self._log)
 
     def record_crypto(self, result: Any) -> None:
         self._log.append(("crypto", result))
@@ -190,22 +179,6 @@ class StackAsyncJob(AsyncJob):
 
     def record_send(self) -> None:
         self._log.append(("send", None))
-
-    def advance(self, value: Any = None,
-                exc: Optional[BaseException] = None) -> Tuple[str, Any]:
-        try:
-            if not self._started:
-                self._started = True
-                action = self._gen.send(None)
-            elif exc is not None:
-                action = self._gen.throw(exc)
-            else:
-                action = self._gen.send(value)
-        except StopIteration as stop:
-            self.state = JobState.FINISHED
-            self.result = stop.value
-            return ("done", stop.value)
-        return ("action", action)
 
     def prepare_resume(self) -> int:
         """Call the TLS API again from the top: fresh generator, replay

@@ -11,6 +11,9 @@ simulation-testing harness (PR 8):
   against the finished world;
 - :mod:`repro.testing.shrink` — greedy minimization of failing
   scenario specs.
+- :mod:`repro.testing.corpus` — the fuzz seed corpus and its pinned
+  fingerprint manifest (tier-1 replay and
+  ``tools/check_reactor_equivalence.py``).
 
 The helper names are re-exported here so ``from repro.testing import
 make_qat_env`` keeps working exactly as before the package split.

@@ -5,49 +5,33 @@ Every seed in ``corpus.txt`` names one scenario. Seeds archived in
 their archived specs — replay-by-spec is version-independent, so the
 scenarios (and their fingerprints) survive generator changes. Seeds
 without an archived spec are fixed by ``(HARNESS_VERSION, seed)`` and
-regenerate. Each replays here as a regular test: the world must
-satisfy every registered invariant and — run twice — produce
-byte-identical fingerprints. A corpus failure means either a real
-regression or an intentional harness change (bump ``HARNESS_VERSION``,
-archive the old specs, and regenerate the corpus comments).
+regenerate. Each replays here once as a regular test: the world must
+satisfy every registered invariant and its fingerprint digest must
+equal the one pinned in ``corpus_fingerprints.json``. A corpus failure
+means either a real regression or an intentional behaviour change;
+``tools/check_reactor_equivalence.py`` diagnoses the drift, and
+``--write`` re-pins after an intended change (with a
+``HARNESS_VERSION`` bump and a reason line in CHANGES.md).
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
+from repro.testing.corpus import (
+    corpus_seeds, fingerprint_digest, read_manifest, spec_for, v1_specs,
+)
 from repro.testing.invariants import check_all
 from repro.testing.scenario import (
     HARNESS_VERSION, ScenarioGen, ScenarioSpec, run_scenario,
 )
 
-CORPUS = Path(__file__).with_name("corpus.txt")
-V1_SPECS = json.loads(
-    Path(__file__).with_name("corpus_v1_specs.json").read_text())
-
-
-def corpus_seeds():
-    seeds = []
-    for line in CORPUS.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            seeds.append(int(line))
-    return seeds
-
-
-def spec_for(seed: int) -> ScenarioSpec:
-    """Archived legacy spec if one exists, else current-version
-    generation."""
-    if str(seed) in V1_SPECS:
-        return ScenarioSpec.from_dict(V1_SPECS[str(seed)],
-                                      allow_legacy=True)
-    return ScenarioGen(seed).generate()
-
-
-SEEDS = corpus_seeds()
+CORPUS_DIR = Path(__file__).parent
+V1_SPECS = v1_specs(CORPUS_DIR)
+MANIFEST = read_manifest(CORPUS_DIR)
+SEEDS = corpus_seeds(CORPUS_DIR)
 
 
 def test_corpus_is_nonempty_and_unique():
@@ -59,21 +43,24 @@ def test_archived_specs_all_have_corpus_lines():
     assert set(map(int, V1_SPECS)) <= set(SEEDS)
 
 
+def test_manifest_pins_exactly_the_corpus_seeds():
+    assert sorted(map(int, MANIFEST)) == sorted(SEEDS)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_corpus_scenario_holds_invariants_and_replays_identically(seed):
-    spec = spec_for(seed)
-    first = run_scenario(spec)
-    violations = check_all(first.bed)
-    assert violations == [], \
-        f"seed {seed} ({spec.describe()}): {violations[:3]}"
-    # Same spec, fresh world: the fingerprint must match byte for byte.
+    spec = spec_for(seed, CORPUS_DIR)
     # The spec round-trips through its JSON form on the way, so corpus
     # replay also covers serialized-spec replay (shrink reports).
     again = ScenarioSpec.from_dict(spec.to_dict(), allow_legacy=True)
     assert again == spec
-    second = run_scenario(again)
-    assert second.fingerprint == first.fingerprint, \
-        f"seed {seed}: same-seed replay diverged"
+    result = run_scenario(again)
+    violations = check_all(result.bed)
+    assert violations == [], \
+        f"seed {seed} ({spec.describe()}): {violations[:3]}"
+    assert fingerprint_digest(result.fingerprint) == MANIFEST[str(seed)], \
+        (f"seed {seed}: fingerprint drifted from the pinned manifest; "
+         "run tools/check_reactor_equivalence.py to diagnose")
 
 
 def test_harness_version_gate_rejects_foreign_specs():

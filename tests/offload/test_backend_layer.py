@@ -223,38 +223,19 @@ def test_batched_testbed_run_replays_bit_for_bit():
     assert a.metrics.handshakes == b.metrics.handshakes
 
 
-# -- seeded submit-retry jitter ---------------------------------------------
-
-def test_backoff_jitter_is_pure_and_seed_dependent():
-    from repro.offload.engine import backoff_jitter_fraction
-    # Pure: same (seed, attempts) -> same fraction, no state consumed.
-    assert (backoff_jitter_fraction(42, 3)
-            == backoff_jitter_fraction(42, 3))
-    # In range and varying across attempts and seeds.
-    fracs = [backoff_jitter_fraction(42, a) for a in range(1, 9)]
-    assert all(0.0 <= f < 1.0 for f in fracs)
-    assert len(set(fracs)) > 1
-    assert (backoff_jitter_fraction(1, 1)
-            != backoff_jitter_fraction(2, 1))
-
-
-def test_submit_backoff_jittered_within_half_open_window():
-    from repro.testing import make_qat_env
-    plain = make_qat_env().engine
-    jittered = make_qat_env(backoff_jitter_seed=1234).engine
-    for attempts in range(1, 10):
-        base = plain.submit_backoff(attempts)
-        j = jittered.submit_backoff(attempts)
-        # Jitter spreads retries into [base/2, base), never lengthens
-        # the worst case and never collapses to zero.
-        assert base / 2 <= j < base
-        # Deterministic: replaying the same attempt gives the same wait.
-        assert j == jittered.submit_backoff(attempts)
-
+# -- submit-retry backoff --------------------------------------------------
 
 def test_unjittered_backoff_unchanged_without_seed():
-    from repro.testing import make_qat_env
-    eng = make_qat_env().engine
-    assert eng.backoff_jitter_seed is None
-    assert eng.submit_backoff(1) == eng.busy_poll_slice
-    assert eng.submit_backoff(8) == 128 * eng.busy_poll_slice
+    """Every server worker's engine backs off on the one deterministic
+    schedule: a busy-poll slice, doubling per rejection, capped at 128
+    slices. A per-worker jitter (which shortened the mean wait and
+    densified ring-full retry storms) must not creep back in."""
+    from repro.bench.runner import Testbed
+    bed = Testbed("QTLS", workers=2)
+    engines = [w.engine for w in bed.server.workers]
+    assert len(engines) == 2
+    for eng in engines:
+        slice_ = eng.busy_poll_slice
+        for attempts in range(1, 11):
+            assert eng.submit_backoff(attempts) == min(
+                slice_ * 2 ** (attempts - 1), 128 * slice_)

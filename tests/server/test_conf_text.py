@@ -87,6 +87,20 @@ def test_timer_poll_settings():
     ("ssl_protocols SSLv3;", "unsupported protocol"),
     ("ssl_asynch_notify telepathy;", "unknown notify mode"),
     ("worker_processes 1 2;", "exactly one"),
+    # Constants, not directives: the breaker, fallback and batch-flush
+    # settings and the remote backend's shape.
+    ("ssl_engine { qat_engine { qat_breaker_failure_threshold 5; } }",
+     "unknown qat_engine directive 'qat_breaker_failure_threshold'"),
+    ("ssl_engine { qat_engine { qat_breaker_reset_timeout 0.01; } }",
+     "unknown qat_engine directive 'qat_breaker_reset_timeout'"),
+    ("ssl_engine { qat_engine { qat_software_fallback off; } }",
+     "unknown qat_engine directive 'qat_software_fallback'"),
+    ("ssl_engine { qat_engine { qat_batch_timeout 0.00005; } }",
+     "unknown qat_engine directive 'qat_batch_timeout'"),
+    ("ssl_engine { use qat_engine; offload_backend remote; "
+     "remote_accelerator { processors 8; window 256; "
+     "link_latency 0.00002; link_bandwidth 25e9; service_scale 1.0; } }",
+     "unknown ssl_engine directive 'remote_accelerator'"),
 ])
 def test_malformed_rejected(bad, msg):
     with pytest.raises(ConfError, match=msg):

@@ -12,6 +12,9 @@ policy, fault kind, retrieval mode and lifecycle action the corpus
 covers. Legacy seeds replay from their archived v1 specs; newer seeds
 regenerate under the current harness version.
 
+Tier-1 runs the same gate (``tests/fuzz/test_scenarios.py``); this
+tool adds the drift diagnosis and the manifest rewrite.
+
 Exit status 0 = every fingerprint matches; 1 = divergence (a summary
 of the first differing fingerprint lines is printed per bad seed).
 
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -31,29 +33,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.testing.scenario import (  # noqa: E402
-    ScenarioGen, ScenarioSpec, run_scenario,
+from repro.testing.corpus import (  # noqa: E402
+    corpus_seeds, fingerprint_digest, read_manifest, spec_for,
 )
+from repro.testing.scenario import run_scenario  # noqa: E402
 
 FUZZ_DIR = ROOT / "tests" / "fuzz"
 MANIFEST = FUZZ_DIR / "corpus_fingerprints.json"
-V1_SPECS = json.loads((FUZZ_DIR / "corpus_v1_specs.json").read_text())
-
-
-def corpus_seeds() -> list:
-    seeds = []
-    for line in (FUZZ_DIR / "corpus.txt").read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            seeds.append(int(line))
-    return seeds
-
-
-def spec_for(seed: int) -> ScenarioSpec:
-    if str(seed) in V1_SPECS:
-        return ScenarioSpec.from_dict(V1_SPECS[str(seed)],
-                                      allow_legacy=True)
-    return ScenarioGen(seed).generate()
 
 
 def main() -> int:
@@ -63,12 +49,12 @@ def main() -> int:
     args = parser.parse_args()
 
     expected = ({} if args.write or not MANIFEST.exists()
-                else json.loads(MANIFEST.read_text()))
+                else read_manifest(FUZZ_DIR))
     actual, texts, bad = {}, {}, []
-    for seed in corpus_seeds():
-        spec = spec_for(seed)
+    for seed in corpus_seeds(FUZZ_DIR):
+        spec = spec_for(seed, FUZZ_DIR)
         result = run_scenario(spec)
-        digest = hashlib.sha256(result.fingerprint.encode()).hexdigest()
+        digest = fingerprint_digest(result.fingerprint)
         actual[str(seed)] = digest
         texts[str(seed)] = result.fingerprint
         if args.write:
@@ -85,7 +71,8 @@ def main() -> int:
               f"({spec.describe()})")
 
     if args.write:
-        MANIFEST.write_text(json.dumps(actual, indent=1) + "\n")
+        by_seed = dict(sorted(actual.items(), key=lambda kv: int(kv[0])))
+        MANIFEST.write_text(json.dumps(by_seed, indent=1) + "\n")
         print(f"wrote {len(actual)} fingerprints to {MANIFEST}")
         return 0
     missing = sorted(set(expected) - set(actual), key=int)
@@ -103,7 +90,7 @@ def main() -> int:
         # The manifest stores digests only, so the best local evidence
         # is a fresh double-run diff: if the rerun matches itself, the
         # drift is vs the pinned baseline, not nondeterminism.
-        rerun = run_scenario(spec_for(seed)).fingerprint
+        rerun = run_scenario(spec_for(seed, FUZZ_DIR)).fingerprint
         if rerun != texts[str(seed)]:
             diff = difflib.unified_diff(
                 texts[str(seed)].splitlines(), rerun.splitlines(),
